@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-fabric bench-deliver bench-collectives bench-msgrate bench-autotune bench-rendezvous bench-latency bench-serve bench-inline bench-gate fuzz examples experiments clean
+.PHONY: all build vet fmt-check test race check alloc-gate bench bench-quick bench-fabric bench-deliver bench-collectives bench-msgrate bench-rendezvous bench-latency bench-serve bench-inline bench-gate perfbench-test fuzz examples experiments clean
 
 all: build vet test
 
 # The full gate: build, vet, formatting, tests, the race detector over the
 # concurrency-heavy packages (communication libraries, fabric ARQ,
 # parcelports, serving tier), the collectives perf snapshot, the serving-tier
-# SLO snapshot, and the message-rate/rendezvous/latency/serve regression
-# gate.
-check: build vet fmt-check test race alloc-gate bench-collectives bench-serve bench-gate
+# SLO snapshot, the message-rate/rendezvous/latency/serve regression gate,
+# and the repository benchmark's own unit tests.
+check: build vet fmt-check test race alloc-gate bench-collectives bench-serve bench-gate perfbench-test
 
 # The receiver-datapath allocation gate: delivering a warm eager-sized bundle
 # must not allocate, spawned or inline (see DESIGN.md §9 and §14). Run with
@@ -19,7 +19,6 @@ check: build vet fmt-check test race alloc-gate bench-collectives bench-serve be
 alloc-gate:
 	$(GO) test ./internal/core/ -run 'TestDeliverBundleZeroAllocs|TestDeliverInlineBundleZeroAllocs|TestCollBoxFastPathZeroAlloc' -count=1
 	$(GO) test ./internal/serialization/ -run TestDecodeIntoSteadyStateAllocs -count=1
-	$(GO) test ./internal/tune/ -run TestSteadyStatePathsZeroAlloc -count=1
 	$(GO) test ./internal/lci/ -run TestChunkedZeroAllocSteadyState -count=1
 	$(GO) test ./internal/serve/ -run 'TestServeCachedGetZeroAllocs|TestTokenBucketZeroAllocs' -count=1
 
@@ -109,17 +108,17 @@ bench-serve:
 bench-inline:
 	$(GO) run ./cmd/experiments -scale quick -out results inline
 
-# Adaptive-vs-static acceptance sweep: the self-tuning runtime must match or
-# beat every hand-tuned static config on every workload (within the noise
-# band). Emits results/BENCH_autotune.json and fails on any lost verdict.
-bench-autotune:
-	$(GO) run ./cmd/experiments -scale quick -out results autotune
-
 # Re-measure the gated rows (message rate, rendezvous, latency, serve) and
 # compare against the committed baselines; fails on step regressions and on
 # broken structural claims.
 bench-gate:
 	$(GO) run ./cmd/experiments -scale quick bench-gate
+
+# Unit tests of the repository benchmark (perfbench/, a nested module that
+# `./...` does not reach): percentiles, histograms, windows, counter deltas,
+# the correctness checkers and BENCHMARK.json agreement. Offline, ~1 s.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Quick A/B of the 64 B message-rate benchmark with the sender-side
 # aggregation layer off and on.

@@ -34,10 +34,6 @@ type MsgRateParams struct {
 	// Sizes, when non-empty, round-robins the payload size across the run
 	// (mixed-size workloads); Size is ignored then.
 	Sizes []int
-	// Autotune enables the adaptive control layer (core.Config.Autotune):
-	// the aggregation knobs and zero-copy threshold become per-destination
-	// feedback-controlled values.
-	Autotune bool
 	// InlineOff disables the receiver's inline-execution lane (spawn-always,
 	// the pre-inline behavior); the default runs small sink actions to
 	// completion on the draining goroutine.
@@ -91,7 +87,6 @@ func MessageRate(ppName string, p MsgRateParams) (MsgRateResult, error) {
 		Aggregation:        p.Agg,
 		AggFlushBytes:      p.AggSize,
 		AggFlushDelay:      p.AggDelay,
-		Autotune:           p.Autotune,
 		InlineBudget:       inlineBudget,
 	})
 	if err != nil {

@@ -39,6 +39,7 @@ package fabric
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -295,7 +296,7 @@ type railSlot struct {
 // most once, so the index (sized for every rail) can never overflow.
 func (r *rail) notify() {
 	if r.ready.CompareAndSwap(0, 1) {
-		r.owner.readyIdx.TryPush(r.id)
+		r.owner.park(r.id)
 	}
 }
 
@@ -469,32 +470,6 @@ func (d *Device) PeerHealth(dst int) Health {
 		return HealthHealthy
 	}
 	return d.rel.health(dst)
-}
-
-// LinkRTTNs reports the smoothed send→ack round-trip estimate toward dst in
-// nanoseconds, measured by the reliability layer (EWMA, α = 1/8). Zero means
-// no sample yet — reliability off, no traffic, or acks still in flight.
-func (d *Device) LinkRTTNs(dst int) int64 {
-	if d.rel == nil {
-		return 0
-	}
-	return d.rel.rttNs(dst)
-}
-
-// EgressQueueDepth reports the packets this device has queued toward dst
-// that the destination has not yet drained (ring + overflow, all rails).
-// A sustained non-zero depth means the peer's poller is falling behind —
-// the backpressure signal the adaptive tuning layer reads.
-func (d *Device) EgressQueueDepth(dst int) int {
-	if dst < 0 || dst >= len(d.net.devices) {
-		return 0
-	}
-	dstDev := d.net.devices[dst][d.idx]
-	depth := int64(0)
-	for ri := range dstDev.in[d.node] {
-		depth += dstDev.in[d.node][ri].count.Load()
-	}
-	return int(depth)
 }
 
 // Node returns the node id of this device.
@@ -719,6 +694,18 @@ func (d *Device) enqueueLocked(r *rail, pkt *Packet, extraNs int64) {
 	r.count.Add(1)
 }
 
+// park puts rail id into the ready index. The index has room for every
+// rail and holds each id at most once, yet TryPush still fails while a
+// poller that popped the slot's previous occupant has not released the
+// slot (it was preempted between its claim and its release). A dropped id
+// would strand the rail's packets for good, so yield until that poller
+// has finished.
+func (d *Device) park(id uint32) {
+	for !d.readyIdx.TryPush(id) {
+		runtime.Gosched()
+	}
+}
+
 // Poll returns one arrived packet destined to this device, or nil if none
 // has arrived yet. It drains the device's ready index — only rails with
 // queued traffic are visited, so an idle or mostly-idle device polls in O(1)
@@ -744,14 +731,14 @@ func (d *Device) Poll() *Packet {
 		}
 		r := d.railByID(id)
 		if hint := r.headNs.Load(); hint > now {
-			d.readyIdx.TryPush(id) // head not arrived: re-park cheaply
+			d.park(id) // head not arrived: re-park cheaply
 			continue
 		}
 		for {
 			p, blocked := r.tryPop(now)
 			if p == nil {
 				if blocked {
-					d.readyIdx.TryPush(id)
+					d.park(id)
 				} else {
 					r.retire()
 				}
@@ -761,7 +748,7 @@ func (d *Device) Poll() *Packet {
 				p.Release() // consumed by the ARQ; try the same rail again
 				continue
 			}
-			d.readyIdx.TryPush(id) // more arrivals may be queued behind
+			d.park(id) // more arrivals may be queued behind
 			d.deliveredPackets.Add(1)
 			d.deliveredBytes.Add(uint64(len(p.Data)))
 			return p

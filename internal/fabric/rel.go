@@ -72,7 +72,6 @@ type relPending struct {
 	pkt      Packet // pristine stored copy; every transmission sends a clone
 	attempts int    // transmission attempts so far (including the first)
 	dueNs    int64  // when the next retransmission is due
-	sentNs   int64  // first transmission time (RTT sampling)
 	next     *relPending
 }
 
@@ -97,29 +96,6 @@ type txLink struct {
 	seqF  atomic.Uint64 // sequence counter
 	ackF  atomic.Uint64 // highest cumulative ack seen
 	downF atomic.Bool   // SetLinkDown blackhole flag
-
-	// RTT sampling. rttEwma is the smoothed send→ack round trip in ns
-	// (0 = no sample yet), written under mu on the buffered path and by the
-	// sample claimant on the lossless path. The lossless path cannot stamp
-	// every packet (no per-packet state is retained), so it keeps at most
-	// one outstanding (sampleSeq, sampleNs) probe per link; whoever observes
-	// the ack passing sampleSeq claims it with a CAS and folds the sample in.
-	rttEwma   atomic.Int64
-	sampleSeq atomic.Uint64
-	sampleNs  atomic.Int64
-}
-
-// observeRTT folds one round-trip sample into the link's EWMA (α = 1/8,
-// standard smoothed-RTT gain). Only one writer runs at a time (tl.mu on the
-// buffered path, the CAS claimant on the lossless path), so load+store is
-// race-free against the lock-free readers.
-func (tl *txLink) observeRTT(sampleNs int64) {
-	old := tl.rttEwma.Load()
-	if old == 0 {
-		tl.rttEwma.Store(sampleNs)
-		return
-	}
-	tl.rttEwma.Store(old + (sampleNs-old)/8)
 }
 
 // noteRetransmitLocked records one retransmission for health accounting:
@@ -266,13 +242,6 @@ func (rs *relState) inject(p *Packet, r *rail) error {
 		stored.relFlags = flagRel | flagSeq
 		stored.relAck = rs.rx[p.Dst].cum.Load()
 		rs.rx[p.Dst].ackOwedNs.Store(0) // this transmission carries the ack
-		if tl.sampleSeq.Load() == 0 && tl.sampleSeq.CompareAndSwap(0, stored.relSeq) {
-			// No probe outstanding: this packet becomes the RTT probe. The
-			// timestamp lands after the CAS, but only the admit-side claimant
-			// reads it, and it cannot win its CAS before the ack for this
-			// sequence exists — i.e. after this store is long visible.
-			tl.sampleNs.Store(d.net.nowNs())
-		}
 		d.enqueue(r, stored, 0)
 		d.injectedPackets.Add(1)
 		d.injectedBytes.Add(uint64(len(p.Data)))
@@ -328,9 +297,6 @@ func (rs *relState) transmitLocked(tl *txLink, pend *relPending, r *rail) {
 	cfg := &d.net.cfg
 	pend.attempts++
 	now := d.net.nowNs()
-	if pend.attempts == 1 {
-		pend.sentNs = now
-	}
 	shift := uint(pend.attempts - 1)
 	if shift > backoffCapShift {
 		shift = backoffCapShift
@@ -411,24 +377,12 @@ func (rs *relState) admit(p *Packet) bool {
 				break
 			}
 		}
-		// Complete the outstanding RTT probe once the cumulative ack passes
-		// it; the CAS elects a single claimant among concurrent pollers.
-		if s := tl.sampleSeq.Load(); s != 0 && p.relAck >= s && tl.sampleSeq.CompareAndSwap(s, 0) {
-			tl.observeRTT(d.net.nowNs() - tl.sampleNs.Load())
-		}
 	} else {
 		tl.mu.Lock()
 		if p.relAck > tl.maxAcked && !tl.down {
 			if len(tl.unacked) > 0 {
-				now := d.net.nowNs()
 				for s := tl.maxAcked + 1; s <= p.relAck; s++ {
 					if pend, ok := tl.unacked[s]; ok {
-						if pend.attempts == 1 {
-							// Karn's rule: only never-retransmitted packets
-							// yield RTT samples (a retransmitted ack is
-							// ambiguous about which attempt it answers).
-							tl.observeRTT(now - pend.sentNs)
-						}
 						delete(tl.unacked, s)
 						pend.next = tl.free
 						tl.free = pend
@@ -659,15 +613,6 @@ func (rs *relState) health(dst int) Health {
 	default:
 		return HealthHealthy
 	}
-}
-
-// rttNs reports the smoothed ack round-trip estimate toward dst
-// (0 = no sample yet).
-func (rs *relState) rttNs(dst int) int64 {
-	if dst < 0 || dst >= len(rs.tx) {
-		return 0
-	}
-	return rs.tx[dst].rttEwma.Load()
 }
 
 // unackedTo reports the unacked window size toward dst (tests).

@@ -102,97 +102,3 @@ func TestHealthNoFlappingUnderSteadyLoss(t *testing.T) {
 		t.Fatalf("health flapped: %d transitions over %d messages", transitions, total)
 	}
 }
-
-// TestLinkRTTBuffered: the buffered ARQ path measures send→ack RTT from
-// never-retransmitted packets; the EWMA lands in LinkRTTNs and roughly
-// reflects the configured one-way latency (RTT >= 2×LatencyNs minus ack
-// coalescing slack).
-func TestLinkRTTBuffered(t *testing.T) {
-	n := mustNet(t, Config{
-		Nodes:               2,
-		LatencyNs:           200_000,
-		Faults:              FaultConfig{DropProb: 0.0001, Seed: 3}, // buffered path, nearly lossless
-		RetransmitTimeoutNs: 50_000_000,
-		AckDelayNs:          100_000,
-	})
-	a, b := n.Device(0), n.Device(1)
-	if got := a.LinkRTTNs(1); got != 0 {
-		t.Fatalf("RTT before traffic = %d, want 0", got)
-	}
-	for i := 0; i < 20; i++ {
-		if err := a.Inject(Packet{Dst: 1, T0: uint64(i), Data: []byte("rtt")}); err != nil {
-			t.Fatalf("Inject: %v", err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for a.LinkRTTNs(1) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no RTT sample after acked traffic")
-		}
-		if p := b.Poll(); p != nil {
-			p.Release()
-		}
-		a.Poll()
-	}
-	if rtt := a.LinkRTTNs(1); rtt < 2*200_000 {
-		t.Fatalf("RTT %dns below the physical round trip (400000ns)", rtt)
-	}
-}
-
-// TestLinkRTTLossless: the lossless fast path keeps one outstanding probe
-// per link and still produces an RTT estimate without retaining packets.
-func TestLinkRTTLossless(t *testing.T) {
-	n := mustNet(t, Config{Nodes: 2, LatencyNs: 150_000, Reliability: true, AckDelayNs: 50_000})
-	a, b := n.Device(0), n.Device(1)
-	for i := 0; i < 10; i++ {
-		if err := a.Inject(Packet{Dst: 1, T0: uint64(i), Data: []byte("rtt")}); err != nil {
-			t.Fatalf("Inject: %v", err)
-		}
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for a.LinkRTTNs(1) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no RTT sample on the lossless path")
-		}
-		if p := b.Poll(); p != nil {
-			p.Release()
-		}
-		a.Poll()
-	}
-	if rtt := a.LinkRTTNs(1); rtt < 2*150_000 {
-		t.Fatalf("RTT %dns below the physical round trip (300000ns)", rtt)
-	}
-}
-
-// TestEgressQueueDepth: queued-but-undrained packets are visible to the
-// sender as egress depth, and draining returns it to zero.
-func TestEgressQueueDepth(t *testing.T) {
-	n := mustNet(t, Config{Nodes: 2, LatencyNs: 100})
-	a, b := n.Device(0), n.Device(1)
-	if d := a.EgressQueueDepth(1); d != 0 {
-		t.Fatalf("idle depth = %d", d)
-	}
-	const k = 7
-	for i := 0; i < k; i++ {
-		if err := a.Inject(Packet{Dst: 1, T0: uint64(i), Data: []byte("q")}); err != nil {
-			t.Fatalf("Inject: %v", err)
-		}
-	}
-	if d := a.EgressQueueDepth(1); d != k {
-		t.Fatalf("depth after %d injects = %d", k, d)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	drained := 0
-	for drained < k {
-		if time.Now().After(deadline) {
-			t.Fatalf("drained only %d/%d", drained, k)
-		}
-		if p := b.Poll(); p != nil {
-			drained++
-			p.Release()
-		}
-	}
-	if d := a.EgressQueueDepth(1); d != 0 {
-		t.Fatalf("depth after drain = %d", d)
-	}
-}

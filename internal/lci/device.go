@@ -90,8 +90,7 @@ type Config struct {
 	// DefaultChunkSize (64 KiB, the fabric pool's recycling limit).
 	ChunkSize int
 	// StripeWidth bounds how many rails one chunked transfer spreads
-	// across. Zero means all rails. An installed stripe tuner
-	// (SetStripeTuner) overrides this per destination.
+	// across. Zero means all rails.
 	StripeWidth int
 	// SingleBlobLong disables chunking entirely and restores the
 	// pre-chunking monolithic opLongData path. It exists as the oracle and
@@ -177,11 +176,6 @@ type Device struct {
 	prPool *ring[*postedRecv]
 	waves  *ring[*[chunkWave]fabric.Packet]
 
-	// stripeTuner, when set, supplies the per-destination stripe width (the
-	// adaptive layer's knob). Install before traffic starts; read by the
-	// progress engine without synchronization.
-	stripeTuner func(dst int) int
-
 	stats struct {
 		mediumSent    atomic.Uint64
 		mediumRecvd   atomic.Uint64
@@ -262,27 +256,15 @@ func (d *Device) putWave(w *[chunkWave]fabric.Packet) {
 	d.waves.TryPush(w)
 }
 
-// SetStripeTuner installs the per-destination stripe-width source (the
-// adaptive layer's actuator). A returned width <= 0 falls back to the
-// static Config.StripeWidth. Must be installed before traffic starts; the
-// progress engine reads it without synchronization.
-func (d *Device) SetStripeTuner(f func(dst int) int) { d.stripeTuner = f }
-
-// chunkPlan decides how a long payload of the given size travels to dst:
-// chunked (chunk size + stripe width) or, when chunking is disabled or the
-// payload fits a single chunk, as the monolithic opLongData blob
-// (chunkSize 0).
-func (d *Device) chunkPlan(dst, size int) (chunkSize, stripe int) {
+// chunkPlan decides how a long payload of the given size travels: chunked
+// (chunk size + stripe width) or, when chunking is disabled or the payload
+// fits a single chunk, as the monolithic opLongData blob (chunkSize 0).
+func (d *Device) chunkPlan(size int) (chunkSize, stripe int) {
 	if d.cfg.SingleBlobLong || size <= d.cfg.ChunkSize {
 		return 0, 0
 	}
 	rails := d.fdev.Rails()
 	sw := d.cfg.StripeWidth
-	if t := d.stripeTuner; t != nil {
-		if w := t(dst); w > 0 {
-			sw = w
-		}
-	}
 	if sw <= 0 || sw > rails {
 		sw = rails
 	}

@@ -293,7 +293,7 @@ func (d *Device) handleCTS(cts *fabric.Packet) {
 	sendIdx := uint32(cts.T0)
 	recvIdx := uint32(cts.T1)
 	h := d.sendHandles.get(sendIdx)
-	cs, sw := d.chunkPlan(h.dst, len(h.data))
+	cs, sw := d.chunkPlan(len(h.data))
 	if cs == 0 {
 		out := fabric.Packet{Dst: h.dst, Op: opLongData, T0: uint64(recvIdx), Data: h.data}
 		if err := d.fdev.Inject(out); err != nil {

@@ -55,25 +55,11 @@ type Stats struct {
 	DiscardedParcels uint64 // parcels dropped for unreachable destinations
 }
 
-// Tuner adapts the per-destination zero-copy threshold at runtime (see
-// internal/tune). Both methods sit on the per-parcel path and must be
-// lock-free and allocation-free.
-type Tuner interface {
-	// Threshold returns dst's effective zero-copy threshold. Implementations
-	// must never return more than the configured static threshold: the
-	// receive side sizes its pooled-buffer safety copies by the static
-	// value, so the sender-side cutoff may only descend.
-	Threshold(dst int) int
-	// ObserveParcel records one outbound parcel's payload size.
-	ObserveParcel(dst, size int)
-}
-
 // Layer is the per-locality parcel sending layer.
 type Layer struct {
 	cfg        Config
 	sendf      func(dst int, m *serialization.Message)
 	sendParcel func(dst int, p serialization.Parcel) bool
-	tuner      Tuner // nil = static threshold
 	dests      []*destState
 
 	parcelsSent      atomic.Uint64
@@ -107,21 +93,6 @@ func NewLayer(numDest int, cfg Config, send func(dst int, m *serialization.Messa
 
 // ZeroCopyThreshold returns the configured threshold.
 func (l *Layer) ZeroCopyThreshold() int { return l.cfg.ZeroCopyThreshold }
-
-// SetTuner installs the adaptive per-destination threshold source. Must be
-// called before traffic flows; nil keeps the static configured threshold.
-func (l *Layer) SetTuner(t Tuner) { l.tuner = t }
-
-// threshold returns dst's effective zero-copy threshold, clamped to the
-// configured static value (the safety ceiling — see Tuner.Threshold).
-func (l *Layer) threshold(dst int) int {
-	if t := l.tuner; t != nil {
-		if th := t.Threshold(dst); th > 0 && th < l.cfg.ZeroCopyThreshold {
-			return th
-		}
-	}
-	return l.cfg.ZeroCopyThreshold
-}
 
 // SetParcelSender installs a direct parcel-send hook consulted by the
 // send-immediate path before serializing. When the hook accepts the parcel
@@ -184,13 +155,6 @@ func (l *Layer) Put(p *serialization.Parcel) {
 func (l *Layer) PutOne(p serialization.Parcel) {
 	if l.cfg.Immediate {
 		l.parcelsSent.Add(1)
-		if t := l.tuner; t != nil {
-			size := 0
-			for _, a := range p.Args {
-				size += len(a)
-			}
-			t.ObserveParcel(p.Dest, size)
-		}
 		if sp := l.sendParcel; sp != nil && l.allArgsInline(&p) && sp(p.Dest, p) {
 			l.messagesSent.Add(1)
 			return
@@ -203,10 +167,9 @@ func (l *Layer) PutOne(p serialization.Parcel) {
 }
 
 // allArgsInline reports whether p's encoding carries no zero-copy chunks,
-// i.e. every argument stays below the destination's effective zero-copy
-// threshold.
+// i.e. every argument stays below the zero-copy threshold.
 func (l *Layer) allArgsInline(p *serialization.Parcel) bool {
-	th := l.threshold(p.Dest)
+	th := l.cfg.ZeroCopyThreshold
 	for _, a := range p.Args {
 		if len(a) >= th {
 			return false
@@ -219,7 +182,7 @@ func (l *Layer) allArgsInline(p *serialization.Parcel) bool {
 // connection cache. The layer owns the encode scratch, so it has the
 // parcelport return it to the pool once the transfer locally completes.
 func (l *Layer) putImmediate(p *serialization.Parcel) {
-	m := serialization.EncodeOne(p, l.threshold(p.Dest))
+	m := serialization.EncodeOne(p, l.cfg.ZeroCopyThreshold)
 	m.RecycleOnSent = true
 	l.messagesSent.Add(1)
 	l.sendf(p.Dest, m)
@@ -263,7 +226,7 @@ func (l *Layer) drain(dst int) {
 		l.releaseConn(d)
 		return
 	}
-	m := serialization.Encode(batch, l.threshold(dst))
+	m := serialization.Encode(batch, l.cfg.ZeroCopyThreshold)
 	if len(batch) > 1 {
 		l.aggregatedSends.Add(1)
 	}

@@ -13,7 +13,8 @@ import (
 // small messages; FlushDelay bounds the latency a buffered message can pay
 // waiting for company; ColdIdle decides when a destination counts as cold
 // (first message after an idle gap goes out immediately rather than waiting
-// alone in a buffer).
+// alone in a buffer) and, through the sparse-peer rule, when it counts as
+// sparse (see aggDest).
 const (
 	DefaultAggFlushBytes = 4096
 	DefaultAggFlushDelay = 50 * time.Microsecond
@@ -31,7 +32,8 @@ type AggConfig struct {
 	FlushDelay time.Duration
 	// ColdIdle is the idle gap after which a destination counts as cold:
 	// the next message bypasses the buffer (no batching partner is in
-	// sight, so buffering would only add latency). Default 4× FlushDelay.
+	// sight, so buffering would only add latency). It also scales the
+	// sparse-peer rule. Default 4× FlushDelay.
 	ColdIdle time.Duration
 	// MaxSub caps the size of a sub-message eligible for bundling; larger
 	// messages (and any message with zero-copy chunks) pass through.
@@ -66,7 +68,7 @@ type AggStats struct {
 	BundledMessages uint64 // sub-messages packed into bundles
 	Bundles         uint64 // bundle transfers handed to the inner parcelport
 	DirectSends     uint64 // messages passed through unbundled
-	ColdSends       uint64 // direct sends taken because the destination was cold
+	ColdSends       uint64 // direct sends taken because the destination was cold or sparse
 	SizeFlushes     uint64 // buffers flushed by FlushBytes
 	AgeFlushes      uint64 // buffers flushed by FlushDelay (background/progress)
 	CapFlushes      uint64 // buffers flushed by the MaxQueued backpressure cap
@@ -76,31 +78,52 @@ type AggStats struct {
 }
 
 // aggDest is the per-destination coalescing buffer.
+//
+// It also carries the sparse-peer rule. The cold check alone looks at one
+// gap: a message that follows its predecessor within ColdIdle is buffered
+// and waits up to FlushDelay for company, even on a peer whose traffic is
+// so thin that company almost never comes. So each destination keeps an
+// EWMA (α = 1/4) of the gaps between its bundleable sends. Once the EWMA
+// exceeds 2×ColdIdle the destination is sparse and every send to it goes
+// direct; it bundles again once the EWMA falls below ColdIdle/2. The 4×
+// band between the two keeps a peer near the boundary from flapping.
 type aggDest struct {
 	mu      sync.Mutex
 	buf     []byte // nil when empty; otherwise a growing wire bundle
 	count   int    // frames in buf
-	limit   int    // flush size captured when buf was created (adaptive)
 	firstNs int64  // when the oldest buffered frame arrived
 	lastNs  int64  // when this destination last saw traffic
+	gapNs   int64  // EWMA of the gaps between sends (0 = no gap yet)
+	sparse  bool   // the sparse-peer rule's state
 	// pending mirrors count != 0 so FlushStale can skip idle destinations
 	// without taking their locks.
 	pending atomic.Bool
 }
 
-// Tuner adapts the per-destination aggregation policy at runtime (see
-// internal/tune). Knob reads and observation ingests sit on the per-message
-// path, so implementations must be lock-free and allocation-free there.
-type Tuner interface {
-	// AggKnobs returns dst's effective policy: flush size, flush age, cold
-	// idle gap, and whether to bypass bundling entirely (send-immediate).
-	AggKnobs(dst int) (flushBytes int, flushDelayNs, coldIdleNs int64, bypass bool)
-	// ObserveSend records one bundleable message toward dst.
-	ObserveSend(dst, size int, nowNs int64)
-	// ObserveFlush records one flushed bundle (size policy vs age policy).
-	ObserveFlush(dst, bytes, frames int, ageNs int64, bySize bool)
-	// Tick runs one rate-gated control pass.
-	Tick(nowNs int64) bool
+// nextGapLocked folds the gap from d.lastNs to now into d's interarrival
+// EWMA and applies the sparse-peer hysteresis, returning the results for
+// the caller to store once it commits to the send. Gaps are capped at
+// 4×ColdIdle, so one long idle spell cannot keep a peer that turns hot
+// sending direct for long. Caller holds d.mu.
+func (a *Aggregator) nextGapLocked(d *aggDest, now int64) (gapNs int64, sparse bool) {
+	gapNs, sparse = d.gapNs, d.sparse
+	if d.lastNs == 0 {
+		return gapNs, sparse // first traffic: no gap yet
+	}
+	cold := int64(a.cfg.ColdIdle)
+	gap := min(now-d.lastNs, 4*cold)
+	if gapNs == 0 {
+		gapNs = gap
+	} else {
+		gapNs += (gap - gapNs) / 4
+	}
+	switch {
+	case gapNs > 2*cold:
+		sparse = true
+	case gapNs < cold/2:
+		sparse = false
+	}
+	return gapNs, sparse
 }
 
 // Aggregator is the sender-side parcel aggregation layer: a Parcelport
@@ -120,7 +143,6 @@ type Aggregator struct {
 	start   time.Time
 	deliver DeliverFunc
 	dests   []*aggDest
-	tuner   Tuner // nil = static knobs from cfg
 
 	stats struct {
 		bundled, bundles, direct, cold                  atomic.Uint64
@@ -142,27 +164,6 @@ func NewAggregator(inner Parcelport, numDest int, cfg AggConfig) *Aggregator {
 
 // Inner exposes the wrapped parcelport (stats reporting).
 func (a *Aggregator) Inner() Parcelport { return a.inner }
-
-// SetTuner installs the adaptive per-destination policy source. Must be
-// called before traffic flows; nil keeps the static AggConfig knobs.
-func (a *Aggregator) SetTuner(t Tuner) { a.tuner = t }
-
-// knobs returns dst's effective policy: the tuner's when installed, the
-// static config otherwise.
-func (a *Aggregator) knobs(dst int) (flushBytes int, flushDelayNs, coldIdleNs int64, bypass bool) {
-	if t := a.tuner; t != nil {
-		return t.AggKnobs(dst)
-	}
-	return a.cfg.FlushBytes, int64(a.cfg.FlushDelay), int64(a.cfg.ColdIdle), false
-}
-
-// observeFlushLocked feeds one flush to the tuner. Caller holds d.mu and
-// calls this before takeLocked resets the buffer state.
-func (a *Aggregator) observeFlushLocked(dst int, d *aggDest, now int64, bySize bool) {
-	if t := a.tuner; t != nil {
-		t.ObserveFlush(dst, len(d.buf), d.count, now-d.firstNs, bySize)
-	}
-}
 
 // Name renders the inner parcelport's name with the aggregation suffix.
 func (a *Aggregator) Name() string { return a.inner.Name() + "_agg" }
@@ -206,7 +207,7 @@ func (a *Aggregator) Start(deliver DeliverFunc) error {
 // Stop flushes every destination buffer and stops the inner parcelport.
 // Shutdown drains credit StopFlushes, not AgeFlushes: the buffers never
 // reached FlushDelay, and folding them into the age counter would pollute
-// the expiry statistics the flush-policy tuning reads.
+// the expiry statistics.
 func (a *Aggregator) Stop() {
 	for dst := range a.dests {
 		a.flushDest(dst, &a.stats.stopFl)
@@ -223,7 +224,7 @@ func (a *Aggregator) bundleable(m *serialization.Message) bool {
 }
 
 // Send coalesces m into dst's buffer or passes it through, flushing per the
-// adaptive policy (size, backpressure cap, cold destination).
+// policy (size, backpressure cap, cold or sparse destination).
 func (a *Aggregator) Send(dst int, m *serialization.Message) {
 	if dst < 0 || dst >= len(a.dests) {
 		a.inner.Send(dst, m)
@@ -239,15 +240,12 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 	}
 	d := a.dests[dst]
 	now := a.nowNs()
-	flushBytes, _, coldIdleNs, bypass := a.knobs(dst)
-	if t := a.tuner; t != nil {
-		t.ObserveSend(dst, len(m.NonZeroCopy), now)
-	}
 	d.mu.Lock()
-	if d.count == 0 && (bypass || now-d.lastNs > coldIdleNs) {
-		// Cold destination (or the tuner marked the peer send-immediate):
-		// nothing buffered and no batching partner in sight — send
-		// immediately rather than paying the flush delay for nothing.
+	d.gapNs, d.sparse = a.nextGapLocked(d, now)
+	if d.count == 0 && (d.sparse || now-d.lastNs > int64(a.cfg.ColdIdle)) {
+		// Cold or sparse destination: nothing buffered and no batching
+		// partner in sight — send immediately rather than paying the
+		// flush delay for nothing.
 		d.lastNs = now
 		d.mu.Unlock()
 		a.stats.direct.Add(1)
@@ -255,9 +253,9 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 		a.inner.Send(dst, m)
 		return
 	}
-	a.ensureBufLocked(d, flushBytes)
+	a.ensureBufLocked(d)
 	d.buf = wire.AppendFrame(d.buf, m.NonZeroCopy)
-	out, counter := a.noteAppendLocked(dst, d, now)
+	out, counter := a.noteAppendLocked(d, now)
 	d.mu.Unlock()
 	a.stats.bundled.Add(1)
 	// The payload was copied into the bundle: the sub-message is locally
@@ -274,9 +272,9 @@ func (a *Aggregator) Send(dst int, m *serialization.Message) {
 // per-message encode scratch entirely: no scratch allocation, no copy, no
 // Message wrapper — the steady-state bundled fast path. It returns false
 // when the parcel must take the ordinary encode-then-Send path instead
-// (out-of-range destination, too big to bundle, or a cold destination,
-// where Send's direct-send policy applies). The caller guarantees every
-// argument is below its zero-copy threshold.
+// (out-of-range destination, too big to bundle, or a cold or sparse
+// destination, where Send's direct-send policy applies). The caller
+// guarantees every argument is below its zero-copy threshold.
 func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	if dst < 0 || dst >= len(a.dests) {
 		return false
@@ -287,18 +285,18 @@ func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	}
 	d := a.dests[dst]
 	now := a.nowNs()
-	flushBytes, _, coldIdleNs, bypass := a.knobs(dst)
-	if t := a.tuner; t != nil {
-		t.ObserveSend(dst, need, now)
-	}
 	d.mu.Lock()
-	if d.count == 0 && (bypass || now-d.lastNs > coldIdleNs) {
+	gapNs, sparse := a.nextGapLocked(d, now)
+	if d.count == 0 && (sparse || now-d.lastNs > int64(a.cfg.ColdIdle)) {
+		// Send takes it direct and records the gap then, so the gap
+		// is folded in once.
 		d.mu.Unlock()
 		return false
 	}
-	a.ensureBufLocked(d, flushBytes)
+	d.gapNs, d.sparse = gapNs, sparse
+	a.ensureBufLocked(d)
 	d.buf = serialization.AppendEncodeInline(wire.AppendFrameHeader(d.buf, need), &p)
-	out, counter := a.noteAppendLocked(dst, d, now)
+	out, counter := a.noteAppendLocked(d, now)
 	d.mu.Unlock()
 	a.stats.bundled.Add(1)
 	if out != nil {
@@ -308,17 +306,13 @@ func (a *Aggregator) SendParcel(dst int, p serialization.Parcel) bool {
 	return true
 }
 
-// ensureBufLocked lazily allocates dst's bundle buffer, capturing the
-// effective flush size for this bundle's lifetime: the limit is fixed at
-// creation so the pooled slice is sized once and appends never outgrow it,
-// even while the tuner moves the knob. Caller holds d.mu.
-func (a *Aggregator) ensureBufLocked(d *aggDest, flushBytes int) {
+// ensureBufLocked lazily allocates dst's bundle buffer. Caller holds d.mu.
+func (a *Aggregator) ensureBufLocked(d *aggDest) {
 	if d.buf == nil {
-		d.limit = flushBytes
 		// Size the buffer so appends never outgrow the pooled slice: the
-		// last frame lands when len < limit and adds at most MaxSub
+		// last frame lands when len < FlushBytes and adds at most MaxSub
 		// payload plus its header.
-		need := d.limit + a.cfg.MaxSub + wire.FrameHeaderSize + wire.BundleHeaderSize
+		need := a.cfg.FlushBytes + a.cfg.MaxSub + wire.FrameHeaderSize + wire.BundleHeaderSize
 		d.buf = wire.BeginBundle(wire.GetBuf(need)[:0])
 	}
 }
@@ -327,7 +321,7 @@ func (a *Aggregator) ensureBufLocked(d *aggDest, flushBytes int) {
 // backpressure-cap flush policy, returning the detached bundle (if any)
 // with the counter to credit. Caller holds d.mu and sends the bundle after
 // unlocking.
-func (a *Aggregator) noteAppendLocked(dst int, d *aggDest, now int64) (*serialization.Message, *atomic.Uint64) {
+func (a *Aggregator) noteAppendLocked(d *aggDest, now int64) (*serialization.Message, *atomic.Uint64) {
 	d.count++
 	if d.count == 1 {
 		d.firstNs = now
@@ -335,11 +329,9 @@ func (a *Aggregator) noteAppendLocked(dst int, d *aggDest, now int64) (*serializ
 	}
 	d.lastNs = now
 	switch {
-	case len(d.buf) >= d.limit:
-		a.observeFlushLocked(dst, d, now, true)
+	case len(d.buf) >= a.cfg.FlushBytes:
 		return d.takeLocked(), &a.stats.sizeFl
 	case d.count >= a.cfg.MaxQueued:
-		a.observeFlushLocked(dst, d, now, true)
 		return d.takeLocked(), &a.stats.capFl
 	}
 	return nil, nil
@@ -388,21 +380,13 @@ func (a *Aggregator) sendBundle(dst int, out *serialization.Message) {
 func (a *Aggregator) FlushStale() bool {
 	now := a.nowNs()
 	did := false
-	if t := a.tuner; t != nil && t.Tick(now) {
-		// The flush sweep doubles as the controllers' clock: it runs from
-		// background work and the dedicated progress thread, exactly the
-		// cadence the rate-gated control pass wants.
-		did = true
-	}
 	for dst, d := range a.dests {
 		if !d.pending.Load() {
 			continue
 		}
-		_, flushDelayNs, _, _ := a.knobs(dst)
 		d.mu.Lock()
 		var out *serialization.Message
-		if d.count > 0 && now-d.firstNs >= flushDelayNs {
-			a.observeFlushLocked(dst, d, now, false)
+		if d.count > 0 && now-d.firstNs >= int64(a.cfg.FlushDelay) {
 			out = d.takeLocked()
 			d.lastNs = now
 		}

@@ -209,6 +209,141 @@ func TestAggregatorColdPassthrough(t *testing.T) {
 	}
 }
 
+// sparseColdIdle is the ColdIdle of the sparse-peer tests. The tests move
+// the aggregator's clock by whole fractions of it, so the real time the
+// test itself takes (microseconds to milliseconds) cannot cross a
+// threshold.
+const sparseColdIdle = 10 * time.Second
+
+// sparseSenders are the two ways a bundleable message enters the
+// aggregator: Send with an encoded message, and SendParcel with Send as the
+// fallback, the way the parcel layer drives it.
+var sparseSenders = []struct {
+	name string
+	send func(a *Aggregator)
+}{
+	{"Send", func(a *Aggregator) { a.Send(0, msgOf([]byte("sparse"))) }},
+	{"SendParcel", func(a *Aggregator) {
+		p := serialization.Parcel{Dest: 0, Action: 1, Args: [][]byte{[]byte("sparse")}}
+		if !a.SendParcel(0, p) {
+			m := serialization.EncodeOne(&p, 0)
+			m.RecycleOnSent = true
+			a.Send(0, m)
+		}
+	}},
+}
+
+// sparseAgg returns a started aggregator for the sparse-peer tests; nothing
+// flushes by size or age on its own.
+func sparseAgg(t *testing.T) *Aggregator {
+	t.Helper()
+	a := NewAggregator(&fakePP{}, 1, AggConfig{
+		FlushBytes: 1 << 20, FlushDelay: time.Hour, ColdIdle: sparseColdIdle,
+	})
+	if err := a.Start(func(*serialization.Message) {}); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// sendAfter moves the aggregator's clock on by gap (a fraction of
+// sparseColdIdle), sends one message, flushes whatever it buffered and
+// reports whether the message went direct. The flush keeps the buffer empty
+// between sends, so every send meets the direct-send decision.
+func sendAfter(a *Aggregator, send func(*Aggregator), gap float64) bool {
+	a.start = a.start.Add(-time.Duration(gap * float64(sparseColdIdle)))
+	before := a.Stats().DirectSends
+	send(a)
+	a.flushDest(0, &a.stats.ageFl)
+	return a.Stats().DirectSends > before
+}
+
+// TestAggregatorSparsePeerGoesDirect: a stream whose mean gap lies between
+// ColdIdle and 2×ColdIdle, after gaps long enough to mark the peer sparse,
+// keeps sending direct, including the messages that follow their
+// predecessor within ColdIdle/2 (the cold check alone buffers those).
+func TestAggregatorSparsePeerGoesDirect(t *testing.T) {
+	for _, s := range sparseSenders {
+		t.Run(s.name, func(t *testing.T) {
+			a := sparseAgg(t)
+			gaps := []float64{3, 3}
+			for i := 0; i < 8; i++ {
+				gaps = append(gaps, 1.5, 1.5, 0.4)
+			}
+			sum := 0.0
+			for _, g := range gaps {
+				sum += g
+			}
+			if mean := sum / float64(len(gaps)); mean <= 1 || mean >= 2 {
+				t.Fatalf("mean gap %.2f×ColdIdle, want within (1, 2)", mean)
+			}
+			for i, g := range gaps {
+				if !sendAfter(a, s.send, g) {
+					t.Fatalf("send %d (gap %.1f×ColdIdle) was bundled on a sparse peer", i, g)
+				}
+			}
+			if st := a.Stats(); st.BundledMessages != 0 || st.ColdSends != uint64(len(gaps)) {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
+	}
+}
+
+// TestAggregatorHotPeerStaysBundled: gaps far below ColdIdle (with the odd
+// one just under it) never mark a peer sparse; only the first message, cold
+// after the idle start, goes direct.
+func TestAggregatorHotPeerStaysBundled(t *testing.T) {
+	for _, s := range sparseSenders {
+		t.Run(s.name, func(t *testing.T) {
+			a := sparseAgg(t)
+			if !sendAfter(a, s.send, 3) {
+				t.Fatal("first message after an idle start was not sent cold")
+			}
+			for i := 0; i < 40; i++ {
+				gap := 0.01
+				if i%10 == 9 {
+					gap = 0.9
+				}
+				if sendAfter(a, s.send, gap) {
+					t.Fatalf("hot send %d (gap %.2f×ColdIdle) went direct", i, gap)
+				}
+			}
+			if st := a.Stats(); st.BundledMessages != 40 || st.ColdSends != 1 {
+				t.Fatalf("stats = %+v", st)
+			}
+		})
+	}
+}
+
+// TestAggregatorSparsePeerTurnsHot: a sparse peer that turns hot keeps
+// sending direct while the EWMA decays through the hysteresis band, then
+// bundles again. The long idle spell before the hot phase counts as at most
+// 4×ColdIdle, so the switch back takes a handful of sends, not dozens.
+func TestAggregatorSparsePeerTurnsHot(t *testing.T) {
+	for _, s := range sparseSenders {
+		t.Run(s.name, func(t *testing.T) {
+			a := sparseAgg(t)
+			for i := 0; i < 4; i++ {
+				sendAfter(a, s.send, 3)
+			}
+			if !sendAfter(a, s.send, 100) {
+				t.Fatal("send after a long idle spell was not direct")
+			}
+			if !sendAfter(a, s.send, 0.01) {
+				t.Fatal("first hot send was bundled: no hysteresis")
+			}
+			for i := 0; i < 8; i++ {
+				sendAfter(a, s.send, 0.01)
+			}
+			for i := 0; i < 20; i++ {
+				if sendAfter(a, s.send, 0.01) {
+					t.Fatalf("hot send %d still direct after the peer turned hot", i)
+				}
+			}
+		})
+	}
+}
+
 func TestAggregatorLargeMessageFlushesFirst(t *testing.T) {
 	inner := &fakePP{}
 	a := warmAgg(inner, 1, AggConfig{FlushBytes: 1 << 20, MaxSub: 16})

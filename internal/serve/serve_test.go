@@ -7,17 +7,26 @@ import (
 	"time"
 
 	"hpxgo/internal/core"
+	"hpxgo/internal/fabric"
 )
 
 // testService builds a started 3-locality runtime (locality 0 = client-only
 // driver, 1 and 2 own the ring) with the given serve config.
 func testService(t *testing.T, cfg Config) (*core.Runtime, *Service) {
 	t.Helper()
+	return testServiceOn(t, fabric.Config{}, cfg)
+}
+
+// testServiceOn is testService over the given interconnect model (the zero
+// value selects the runtime's default).
+func testServiceOn(t *testing.T, fab fabric.Config, cfg Config) (*core.Runtime, *Service) {
+	t.Helper()
 	rt, err := core.NewRuntime(core.Config{
 		Localities:         3,
 		WorkersPerLocality: 2,
 		Parcelport:         "lci",
 		Aggregation:        true,
+		Fabric:             fab,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,19 +103,27 @@ func TestServeCacheHitServesLocally(t *testing.T) {
 // TestServeSingleFlight: a burst of concurrent Gets for one uncached key
 // must issue exactly one shard call; everyone gets the value.
 func TestServeSingleFlight(t *testing.T) {
-	_, svc := testService(t, Config{})
+	// The leader's round trip must outlast the burst: at the default ~1µs
+	// link latency it can finish before the other goroutines reach Get, and
+	// they then hit the cache instead of coalescing. A 500µs link keeps the
+	// flight open for about a millisecond.
+	fab := fabric.DefaultConfig(3)
+	fab.LatencyNs = 500_000
+	_, svc := testServiceOn(t, fab, Config{})
 	c := svc.Client(0)
 	// Preload without touching the client cache.
 	svc.Preload([]string{"burst"}, []byte("payload"))
 
 	const burst = 64
 	var wg sync.WaitGroup
+	start := make(chan struct{})
 	errs := make([]error, burst)
 	vals := make([][]byte, burst)
 	for i := 0; i < burst; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			<-start // release the whole burst at once
 			v, found, err := c.Get("burst")
 			if err == nil && !found {
 				err = errors.New("not found")
@@ -114,6 +131,7 @@ func TestServeSingleFlight(t *testing.T) {
 			vals[i], errs[i] = v, err
 		}(i)
 	}
+	close(start)
 	wg.Wait()
 	for i := range errs {
 		if errs[i] != nil {

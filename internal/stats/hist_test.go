@@ -4,7 +4,7 @@ import "testing"
 
 func TestHistBucketsAndFractions(t *testing.T) {
 	var h Hist
-	if h.Total() != 0 || h.FractionAtLeast(1) != 0 {
+	if h.Total() != 0 {
 		t.Fatal("empty histogram not empty")
 	}
 	for i := 0; i < 90; i++ {
@@ -16,15 +16,17 @@ func TestHistBucketsAndFractions(t *testing.T) {
 	if got := h.Total(); got != 100 {
 		t.Fatalf("Total = %d, want 100", got)
 	}
-	if f := h.FractionAtLeast(4096); f != 0.10 {
-		t.Fatalf("FractionAtLeast(4096) = %v, want 0.10", f)
+	// 256 = 2^8 lands in bucket 9, 8192 = 2^13 in bucket 14: 90% and 10%
+	// of the observations.
+	if c := h.counts[9].Load(); c != 90 {
+		t.Fatalf("bucket 9 holds %d, want 90", c)
 	}
-	if f := h.FractionAtLeast(1); f != 1.0 {
-		t.Fatalf("FractionAtLeast(1) = %v, want 1.0", f)
+	if c := h.counts[14].Load(); c != 10 {
+		t.Fatalf("bucket 14 holds %d, want 10", c)
 	}
-	// Same-bucket cuts round down to the bucket's lower bound.
-	if f := h.FractionAtLeast(8192); f != 0.10 {
-		t.Fatalf("FractionAtLeast(8192) = %v, want 0.10", f)
+	// A bucket spans [2^(k-1), 2^k).
+	if histBucket(8192) != histBucket(16383) || histBucket(8191) == histBucket(8192) {
+		t.Fatal("bucket bounds are not powers of two")
 	}
 	h.Reset()
 	if h.Total() != 0 {
@@ -37,7 +39,7 @@ func TestHistBucketsAndFractions(t *testing.T) {
 	if h.Total() != 3 {
 		t.Fatalf("Total = %d, want 3", h.Total())
 	}
-	if a := testing.AllocsPerRun(100, func() { h.Observe(512); h.FractionAtLeast(64) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { h.Observe(512) }); a != 0 {
 		t.Fatalf("hist path allocates %.1f/op, want 0", a)
 	}
 }
